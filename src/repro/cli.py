@@ -353,8 +353,9 @@ def build_parser() -> argparse.ArgumentParser:
         type=float,
         default=1.0,
         metavar="MS",
-        help="how long a queued request waits for company before its "
-        "batch is flushed (default 1.0)",
+        help="longest a micro-batch stays open for company: a cap, used "
+        "only while more requests keep arriving, so a lone request is "
+        "answered at once (default 1.0)",
     )
     serve.add_argument(
         "--trace-sample-rate",

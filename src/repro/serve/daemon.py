@@ -9,8 +9,10 @@ while staying dependency-free:
 * **Micro-batching** — concurrent single-basket ``POST /recommend``
   requests are queued and coalesced into one
   :meth:`~repro.core.mpf.MPFRecommender.recommend_many` call (at most
-  ``max_batch_size`` baskets, waiting at most ``max_linger_ms`` for
-  company), so a storm of small requests is served at batch cost.
+  ``max_batch_size`` baskets), so a storm of small requests is served at
+  batch cost.  The batch worker yields to the event loop only while each
+  pass brings more requests, so ``max_linger_ms`` is a cap, used only
+  while more requests keep arriving: a lone request is answered at once.
   ``POST /recommend_batch`` bypasses the queue: the client already
   batched.
 
@@ -46,6 +48,7 @@ while staying dependency-free:
 from __future__ import annotations
 
 import asyncio
+import logging
 import os
 import socket
 import threading
@@ -68,6 +71,8 @@ from repro.serve.http import (
     json_response,
     read_request,
 )
+
+_log = logging.getLogger(__name__)
 
 __all__ = [
     "ServeConfig",
@@ -104,9 +109,11 @@ class ServeConfig:
     #: Largest number of queued single-basket requests coalesced into one
     #: ``recommend_many`` call.
     max_batch_size: int = 64
-    #: How long (milliseconds) a queued request waits for company before
-    #: its batch is flushed anyway; 0 disables lingering (each flush takes
-    #: whatever is already queued).
+    #: Upper bound (milliseconds) on how long a batch stays open for
+    #: company.  It is a cap, used only while more requests keep arriving:
+    #: the batch flushes as soon as an event-loop pass adds no request, so
+    #: a lone request never waits it out.  0 disables lingering (each
+    #: flush takes whatever is already queued).
     max_linger_ms: float = 1.0
     #: Trace every Nth serve call into the daemon-lifetime trace exposed
     #: by ``/stats``; 0 disables sampling.  The CLI converts its
@@ -296,6 +303,48 @@ def _parse_k(payload: dict[str, Any]) -> int | None:
     return k
 
 
+#: JSON field types as ``(accepted Python types, name in error messages)``.
+_STRING = (str, "a string")
+_NUMBER = ((int, float), "a number")
+_INTEGER = (int, "an integer")
+_ARRAY = (list, "an array")
+_OBJECT = (dict, "an object")
+_MENTIONS = (str, "an array of strings")
+_UNITS = ((int, float), "an object of item: units")
+
+_JSON_TYPE_NAMES = {
+    type(None): "null",
+    bool: "boolean",
+    int: "number",
+    float: "number",
+    str: "string",
+    list: "array",
+    dict: "object",
+}
+
+
+def _check_type(field: str, value: Any, kind: tuple[Any, str]) -> None:
+    """400 naming ``field`` unless ``value`` has the JSON type ``kind``.
+
+    JSON booleans never pass as numbers, although Python's ``bool``
+    subclasses ``int``.
+    """
+    types, expected = kind
+    if isinstance(value, bool) or not isinstance(value, types):
+        got = _JSON_TYPE_NAMES[type(value)]
+        raise HttpError(400, f"'{field}' must be {expected}, got {got}")
+
+
+def _check_fields(
+    payload: dict[str, Any], schema: Mapping[str, tuple[Any, str]]
+) -> None:
+    """Type-check every present, non-null field of ``payload``."""
+    for field, kind in schema.items():
+        value = payload.get(field)
+        if value is not None:
+            _check_type(field, value, kind)
+
+
 class RecommendDaemon:
     """Always-on HTTP/JSON serving for persisted profit-mining models.
 
@@ -403,6 +452,7 @@ class RecommendDaemon:
             "reloads": 0,
             "reload_failures": 0,
             "errors": 0,
+            "internal_errors": 0,
         }
 
     @classmethod
@@ -614,33 +664,41 @@ class RecommendDaemon:
         return compute()
 
     async def _batch_worker(self, slot: _ModelSlot) -> None:
-        """Coalesce one slot's queued requests into batch serve calls."""
+        """Coalesce one slot's queued requests into batch serve calls.
+
+        Flush rule: take whatever is already queued, then yield one
+        event-loop pass at a time and take whatever that pass queued.
+        The batch flushes as soon as a pass adds nothing, the batch is
+        full, or ``max_linger_ms`` has passed since the first request was
+        taken.  Handlers whose request bytes have already arrived run
+        during those passes, so concurrent requests still coalesce, while
+        a lone request is answered without waiting.  ``max_linger_ms=0``
+        never yields: each flush takes only what is already queued.
+        """
         assert slot.queue is not None
         queue = slot.queue
-        config = self.config
-        linger_s = config.max_linger_ms / 1000.0
+        max_batch = self.config.max_batch_size
+        linger_s = self.config.max_linger_ms / 1000.0
         loop = asyncio.get_running_loop()
-        while True:
-            basket, k, future = await queue.get()
-            batch = [(basket, k, future)]
-            # Greedily take whatever is already waiting, then linger for
-            # stragglers only while the batch still has room.
-            while len(batch) < config.max_batch_size:
+
+        def drain(batch: list) -> int:
+            added = 0
+            while len(batch) < max_batch:
                 try:
                     batch.append(queue.get_nowait())
                 except asyncio.QueueEmpty:
                     break
+                added += 1
+            return added
+
+        while True:
+            batch = [await queue.get()]
+            drain(batch)
             if linger_s > 0:
                 deadline = loop.time() + linger_s
-                while len(batch) < config.max_batch_size:
-                    timeout = deadline - loop.time()
-                    if timeout <= 0:
-                        break
-                    try:
-                        batch.append(
-                            await asyncio.wait_for(queue.get(), timeout)
-                        )
-                    except asyncio.TimeoutError:
+                while len(batch) < max_batch and loop.time() < deadline:
+                    await asyncio.sleep(0)
+                    if not drain(batch):
                         break
             handle = slot.handle  # one generation for the whole batch
             self.counters["batches_flushed"] += 1
@@ -728,16 +786,16 @@ class RecommendDaemon:
         body["generation"] = handle.generation
         return json_response(200, body, request.keep_alive)
 
-    _QUERY_FIELDS = (
-        "head_promo",
-        "head_item",
-        "head_under",
-        "body_mentions",
-        "shape",
-        "min_conf",
-        "min_support",
-        "top",
-    )
+    _QUERY_FIELDS = {
+        "head_promo": _STRING,
+        "head_item": _STRING,
+        "head_under": _STRING,
+        "body_mentions": _ARRAY,
+        "shape": _STRING,
+        "min_conf": _NUMBER,
+        "min_support": _NUMBER,
+        "top": _INTEGER,
+    }
 
     async def _query(self, request: Request) -> bytes:
         """Rule-audit queries over a resident model's columnar store."""
@@ -751,6 +809,9 @@ class RecommendDaemon:
                 f"unknown query fields {sorted(unknown)}; "
                 f"allowed: {list(self._QUERY_FIELDS)}",
             )
+        _check_fields(payload, self._QUERY_FIELDS)
+        for mention in payload.get("body_mentions") or ():
+            _check_type("body_mentions", mention, _MENTIONS)
         slot = self._slot(payload.get("model"))
         handle = slot.handle
         filters = {
@@ -758,10 +819,9 @@ class RecommendDaemon:
             for field in self._QUERY_FIELDS
             if payload.get(field) is not None
         }
-        try:
-            hits = handle.recommender.query_rules(**filters)
-        except (TypeError, ValidationError) as exc:
-            raise HttpError(400, str(exc)) from exc
+        # The store's own ValidationError (unknown shape, negative top)
+        # becomes a 400 in the connection handler.
+        hits = handle.recommender.query_rules(**filters)
         self.counters["query_requests"] += 1
         body = {
             "model": handle.recommender.name,
@@ -771,21 +831,22 @@ class RecommendDaemon:
         }
         return json_response(200, body, request.keep_alive)
 
-    _PLAN_FIELDS = (
-        "baskets",
-        "max_offers",
-        "budget",
-        "offer_cost",
-        "inventory",
-        "method",
-    )
+    _PLAN_FIELDS = {
+        "baskets": _ARRAY,
+        "max_offers": _INTEGER,
+        "budget": _NUMBER,
+        "offer_cost": _NUMBER,
+        "inventory": _OBJECT,
+        "method": _STRING,
+    }
 
     async def _plan(self, request: Request) -> bytes:
         """Campaign planning over a posted basket workload.
 
         Body: ``{"baskets": [[...], ...], "max_offers"?, "budget"?,
         "offer_cost"?, "inventory"?: {item: units}, "method"?, "model"?}``.
-        Constraint validation happens inside :func:`plan_campaign`; its
+        Field types are checked here (``null`` means absent); constraint
+        validation happens inside :func:`plan_campaign`, whose
         ``ValidationError`` surfaces as a 400 like any bad basket.
         """
         payload = request.json()
@@ -798,27 +859,25 @@ class RecommendDaemon:
                 f"unknown plan fields {sorted(unknown)}; "
                 f"allowed: {list(self._PLAN_FIELDS)}",
             )
-        raw = payload["baskets"]
-        if not isinstance(raw, list):
-            raise HttpError(400, "'baskets' must be a list of baskets")
-        slot = self._slot(payload.get("model"))
-        baskets = [_parse_basket(entry) for entry in raw]
+        _check_type("baskets", payload["baskets"], _ARRAY)
+        _check_fields(payload, self._PLAN_FIELDS)
         inventory = payload.get("inventory")
-        if inventory is not None and not isinstance(inventory, dict):
-            raise HttpError(400, "'inventory' must be an object of item: units")
+        for units in (inventory or {}).values():
+            _check_type("inventory", units, _UNITS)
+        slot = self._slot(payload.get("model"))
+        baskets = [_parse_basket(entry) for entry in payload["baskets"]]
+        offer_cost = payload.get("offer_cost")
+        method = payload.get("method")
         handle = slot.handle
-        try:
-            plan = plan_campaign(
-                handle.recommender,
-                baskets,
-                max_offers=payload.get("max_offers"),
-                budget=payload.get("budget"),
-                offer_cost=payload.get("offer_cost", 1.0),
-                inventory=inventory,
-                method=payload.get("method", "auto"),
-            )
-        except TypeError as exc:
-            raise HttpError(400, str(exc)) from exc
+        plan = plan_campaign(
+            handle.recommender,
+            baskets,
+            max_offers=payload.get("max_offers"),
+            budget=payload.get("budget"),
+            offer_cost=1.0 if offer_cost is None else offer_cost,
+            inventory=inventory,
+            method="auto" if method is None else method,
+        )
         self.counters["plan_requests"] += 1
         body = plan.to_dict()
         body["model"] = handle.recommender.name
@@ -945,6 +1004,7 @@ class RecommendDaemon:
                 if request is None:
                     break
                 self.counters["requests"] += 1
+                keep_alive = request.keep_alive
                 try:
                     response = await self._route(request)
                 except HttpError as exc:
@@ -952,7 +1012,7 @@ class RecommendDaemon:
                     response = json_response(
                         exc.status,
                         {"error": str(exc)},
-                        request.keep_alive,
+                        keep_alive,
                         retry_after=exc.retry_after,
                     )
                 except (CatalogError, ValidationError) as exc:
@@ -960,16 +1020,34 @@ class RecommendDaemon:
                     # content are the client's data, not a server fault.
                     self.counters["errors"] += 1
                     response = json_response(
-                        400, {"error": str(exc)}, request.keep_alive
+                        400, {"error": str(exc)}, keep_alive
                     )
                 except ProfitMiningError as exc:
                     self.counters["errors"] += 1
                     response = json_response(
-                        500, {"error": str(exc)}, request.keep_alive
+                        500, {"error": str(exc)}, keep_alive
+                    )
+                except Exception as exc:
+                    # A fault in the daemon itself: log it, answer a
+                    # well-formed 500 and close, since the connection's
+                    # state after an unexpected failure cannot be vouched
+                    # for.
+                    _log.exception(
+                        "internal error serving %s %s",
+                        request.method,
+                        request.path,
+                    )
+                    self.counters["errors"] += 1
+                    self.counters["internal_errors"] += 1
+                    keep_alive = False
+                    response = json_response(
+                        500,
+                        {"error": f"internal error: {type(exc).__name__}"},
+                        keep_alive=False,
                     )
                 writer.write(response)
                 await writer.drain()
-                if not request.keep_alive:
+                if not keep_alive:
                     break
         except (ConnectionResetError, BrokenPipeError):
             pass  # client went away mid-response; nothing to answer

@@ -297,6 +297,107 @@ class TestStatsEndpoint:
         assert stats["counters"]["errors"] == 4
 
 
+    def test_unexpected_exception_answers_json_500_and_closes(
+        self, world, monkeypatch
+    ):
+        """A fault outside the project's error types still gets an answer."""
+        from repro.serve import RecommendDaemon
+
+        async def broken_route(self, request):
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr(RecommendDaemon, "_query", broken_route)
+        config = ServeConfig(port=0)
+        with BackgroundDaemon(world["path_a"], config) as daemon:
+            port = daemon.port
+            conn = http.client.HTTPConnection("127.0.0.1", port, timeout=10)
+            try:
+                conn.request("POST", "/query", body="{}")
+                response = conn.getresponse()
+                body = json.loads(response.read())
+                assert response.status == 500
+                assert response.getheader("Connection") == "close"
+                assert body == {"error": "internal error: RuntimeError"}
+                # The daemon closed this connection; http.client reopens.
+                conn.request(
+                    "POST",
+                    "/recommend",
+                    body=json.dumps({"basket": world["payloads"][0]}),
+                )
+                response = conn.getresponse()
+                body = json.loads(response.read())
+                assert response.status == 200
+                assert (body["item"], body["promo"]) == world["expected_a"][0]
+            finally:
+                conn.close()
+            status, stats = _request(port, "GET", "/stats")
+        assert status == 200
+        assert stats["counters"]["internal_errors"] == 1
+        assert stats["counters"]["errors"] == 1
+
+
+async def _read_response(reader) -> tuple[int, dict]:
+    """One HTTP/1.1 JSON response off an asyncio stream."""
+    head = await reader.readuntil(b"\r\n\r\n")
+    status = int(head.split(b" ", 2)[1])
+    length = 0
+    for line in head.split(b"\r\n")[1:]:
+        name, _, value = line.partition(b":")
+        if name.strip().lower() == b"content-length":
+            length = int(value)
+    return status, json.loads(await reader.readexactly(length))
+
+
+class TestMicroBatchCoalescing:
+    def test_concurrent_requests_share_batches(self, world):
+        """Requests whose bytes arrive together are served in one flush.
+
+        Every connection is opened and parked first, then each sends one
+        ``/recommend`` before any response is read, so the daemon sees
+        all of them readable in the same event-loop pass.
+        """
+        import asyncio
+
+        from repro.serve import RecommendDaemon
+
+        n_clients = 16
+
+        async def run() -> dict:
+            daemon = RecommendDaemon(world["path_a"], ServeConfig(port=0))
+            await daemon.start()
+            try:
+                streams = [
+                    await asyncio.open_connection("127.0.0.1", daemon.port)
+                    for _ in range(n_clients)
+                ]
+                for reader, writer in streams:  # park every handler
+                    writer.write(b"GET /healthz HTTP/1.1\r\n\r\n")
+                    assert (await _read_response(reader))[0] == 200
+                for index, (_, writer) in enumerate(streams):
+                    body = json.dumps(
+                        {"basket": world["payloads"][index]}
+                    ).encode()
+                    writer.write(
+                        b"POST /recommend HTTP/1.1\r\n"
+                        + b"Content-Length: %d\r\n\r\n" % len(body)
+                        + body
+                    )
+                for index, (reader, writer) in enumerate(streams):
+                    status, body = await _read_response(reader)
+                    assert status == 200
+                    assert (body["item"], body["promo"]) == (
+                        world["expected_a"][index]
+                    )
+                    writer.close()
+                return daemon.stats_payload()["counters"]
+            finally:
+                await daemon.stop()
+
+        counters = asyncio.run(run())
+        assert counters["recommend_requests"] == n_clients
+        assert counters["batches_flushed"] < counters["recommend_requests"]
+
+
 class TestMultiModelTenancy:
     def test_routing_stats_and_per_model_reload(self, world):
         config = ServeConfig(port=0, max_linger_ms=0.0)
@@ -454,6 +555,13 @@ class TestBackpressure:
             assert (body["item"], body["promo"]) == world["expected_a"][0]
 
 
+@pytest.fixture(scope="module")
+def shared_port(world):
+    """One default-config daemon shared by the validation tests."""
+    with BackgroundDaemon(world["path_a"], ServeConfig(port=0)) as daemon:
+        yield daemon.port
+
+
 class TestQueryEndpoint:
     def test_query_matches_library_answer(self, world):
         config = ServeConfig(port=0)
@@ -494,6 +602,33 @@ class TestQueryEndpoint:
                 port, "POST", "/recommend", {"basket": world["payloads"][0]}
             )
             assert status == 200
+
+    @pytest.mark.parametrize(
+        "field, value, expected",
+        [
+            ("top", "x", "'top' must be an integer, got string"),
+            ("top", True, "'top' must be an integer, got boolean"),
+            ("top", 2.5, "'top' must be an integer, got number"),
+            ("min_conf", "high", "'min_conf' must be a number, got string"),
+            ("min_support", False, "'min_support' must be a number"),
+            ("shape", 3, "'shape' must be a string, got number"),
+            ("head_promo", ["P1"], "'head_promo' must be a string, got array"),
+            ("head_item", {}, "'head_item' must be a string, got object"),
+            ("head_under", 1.0, "'head_under' must be a string"),
+            ("body_mentions", "A", "'body_mentions' must be an array"),
+            (
+                "body_mentions",
+                ["A", 1],
+                "'body_mentions' must be an array of strings, got number",
+            ),
+        ],
+    )
+    def test_query_rejects_wrong_field_types(
+        self, shared_port, field, value, expected
+    ):
+        status, body = _request(shared_port, "POST", "/query", {field: value})
+        assert status == 400
+        assert body["error"].startswith(expected)
 
     def test_query_routes_per_model(self, world):
         config = ServeConfig(port=0)
@@ -705,3 +840,56 @@ class TestPlanEndpoint:
                 port, "POST", "/recommend", {"basket": world["payloads"][0]}
             )
             assert status == 200
+
+    @pytest.mark.parametrize(
+        "field, value, expected",
+        [
+            ("baskets", "x", "'baskets' must be an array, got string"),
+            ("baskets", None, "'baskets' must be an array, got null"),
+            ("max_offers", "3", "'max_offers' must be an integer, got string"),
+            ("max_offers", True, "'max_offers' must be an integer, got boolean"),
+            ("max_offers", 1.5, "'max_offers' must be an integer, got number"),
+            ("budget", "10", "'budget' must be a number, got string"),
+            ("budget", True, "'budget' must be a number, got boolean"),
+            ("offer_cost", [1], "'offer_cost' must be a number, got array"),
+            ("inventory", [1, 2], "'inventory' must be an object, got array"),
+            (
+                "inventory",
+                {"I1": "5"},
+                "'inventory' must be an object of item: units, got string",
+            ),
+            (
+                "inventory",
+                {"I1": False},
+                "'inventory' must be an object of item: units, got boolean",
+            ),
+            ("method", 1, "'method' must be a string, got number"),
+        ],
+    )
+    def test_plan_rejects_wrong_field_types(
+        self, world, shared_port, field, value, expected
+    ):
+        payload = {"baskets": world["payloads"][:5], field: value}
+        status, body = _request(shared_port, "POST", "/plan", payload)
+        assert status == 400
+        assert body["error"] == expected
+
+    def test_plan_null_fields_mean_absent(self, world, shared_port):
+        payload = {
+            "baskets": world["payloads"][:5],
+            "max_offers": 2,
+            "budget": None,
+            "offer_cost": None,
+            "inventory": None,
+            "method": None,
+        }
+        status, body = _request(shared_port, "POST", "/plan", payload)
+        assert status == 200
+        status, expected = _request(
+            shared_port,
+            "POST",
+            "/plan",
+            {"baskets": world["payloads"][:5], "max_offers": 2},
+        )
+        assert status == 200
+        assert body == expected

@@ -426,3 +426,34 @@ class TestPoolAdminErrors:
                 pool.port, "POST", "/admin/reload", {"model": "nope"}
             )
             assert status == 404 and "nope" in body["error"]
+
+
+class TestPoolInternalErrors:
+    def test_internal_errors_sum_across_workers(self, world, monkeypatch):
+        """Workers answer unexpected faults with a JSON 500, and the pool's
+        /stats sums their ``internal_errors`` counters."""
+        from repro.serve import RecommendDaemon
+
+        async def broken_route(self, request):
+            raise RuntimeError("boom")
+
+        # Patched before the fork, so every worker inherits the fault.
+        monkeypatch.setattr(RecommendDaemon, "_query", broken_route)
+        config = ServeConfig(port=0)
+        with BackgroundPool(
+            world["path_a"], config, PoolConfig(workers=2)
+        ) as pool:
+            port = pool.port
+            n_faults = 12
+            for _ in range(n_faults):  # fresh connections spread over workers
+                status, body = _request(port, "POST", "/query", {})
+                assert status == 500
+                assert body == {"error": "internal error: RuntimeError"}
+            status, stats = _request(port, "GET", "/stats")
+            assert status == 200
+            assert stats["counters"]["internal_errors"] == n_faults
+            status, body = _request(
+                port, "POST", "/recommend", {"basket": world["payloads"][0]}
+            )
+            assert status == 200
+            assert (body["item"], body["promo"]) == world["expected_a"][0]

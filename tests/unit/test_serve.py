@@ -1,14 +1,23 @@
-"""Unit tests for the serving daemon's pure pieces (HTTP, config, parsing)."""
+"""Unit tests for the serving daemon's pure pieces (HTTP, config, parsing)
+and for the micro-batch flush rule, driven on a bare event loop."""
 
 from __future__ import annotations
 
 import asyncio
+import contextlib
 import json
+import statistics
+import time
 
 import pytest
 
 from repro.errors import ValidationError
-from repro.serve import ServeConfig, trace_sample_period
+from repro.serve import (
+    ModelHandle,
+    RecommendDaemon,
+    ServeConfig,
+    trace_sample_period,
+)
 from repro.serve.daemon import _parse_basket, _parse_sale
 from repro.serve.http import (
     MAX_HEADER_BYTES,
@@ -311,3 +320,162 @@ class TestBasketParsing:
         with pytest.raises(HttpError) as excinfo:
             _parse_basket({"item": "Bread"})
         assert excinfo.value.status == 400
+
+
+class _RecordingRecommender:
+    """Stands in for a recommender: echoes baskets, records batch sizes."""
+
+    name = "recording"
+
+    def __init__(self) -> None:
+        self.batches: list[int] = []
+
+    def recommend_many(self, baskets):
+        self.batches.append(len(baskets))
+        return list(baskets)
+
+
+@contextlib.asynccontextmanager
+async def _batch_worker(max_linger_ms: float, max_batch_size: int = 64):
+    """Run one daemon slot's batch worker over a recording recommender.
+
+    The worker task is created but has not run when the body starts, so
+    requests enqueued before the body's first ``await`` are already
+    queued when the worker wakes.
+    """
+    recommender = _RecordingRecommender()
+    handle = ModelHandle(
+        recommender=recommender,
+        path="recording.json",
+        generation=1,
+        mtime_ns=0,
+        loaded_at=0.0,
+    )
+    daemon = RecommendDaemon.from_handles(
+        {"recording": handle},
+        ServeConfig(
+            port=0, max_linger_ms=max_linger_ms, max_batch_size=max_batch_size
+        ),
+    )
+    slot = daemon._slots["recording"]
+    slot.queue = asyncio.Queue()
+    worker = asyncio.create_task(daemon._batch_worker(slot))
+    try:
+        yield slot.queue, recommender
+    finally:
+        worker.cancel()
+        with contextlib.suppress(asyncio.CancelledError):
+            await worker
+
+
+def _enqueue(queue: asyncio.Queue, basket: str) -> asyncio.Future:
+    """Queue one request the way ``/recommend`` does; return its future."""
+    future = asyncio.get_running_loop().create_future()
+    queue.put_nowait((basket, None, future))
+    return future
+
+
+async def _handler(queue: asyncio.Queue, basket: str, passes: int) -> str:
+    """A request handler that reaches the queue after ``passes`` loop
+    passes (a handler woken by bytes that already arrived)."""
+    for _ in range(passes):
+        await asyncio.sleep(0)
+    _, result = await _enqueue(queue, basket)
+    return result
+
+
+class TestMicroBatchFlushRule:
+    def test_requests_queued_before_the_worker_wakes_flush_together(self):
+        async def run():
+            async with _batch_worker(max_linger_ms=50.0) as (queue, rec):
+                futures = [_enqueue(queue, f"b{i}") for i in range(3)]
+                results = await asyncio.gather(*futures)
+            return rec.batches, [result for _, result in results]
+
+        batches, results = asyncio.run(run())
+        assert batches == [3]
+        assert results == ["b0", "b1", "b2"]
+
+    def test_requests_arriving_over_the_next_passes_join_the_batch(self):
+        async def run():
+            async with _batch_worker(max_linger_ms=50.0) as (queue, rec):
+                first = _enqueue(queue, "b0")
+                late = [
+                    asyncio.create_task(_handler(queue, f"b{n}", n - 1))
+                    for n in (1, 2, 3)
+                ]
+                _, first_result = await first
+                late_results = await asyncio.gather(*late)
+            return rec.batches, [first_result, *late_results]
+
+        batches, results = asyncio.run(run())
+        assert batches == [4]
+        assert results == ["b0", "b1", "b2", "b3"]
+
+    def test_a_quiet_pass_flushes_without_waiting_out_the_cap(self):
+        async def run():
+            async with _batch_worker(max_linger_ms=50.0) as (queue, rec):
+                first = _enqueue(queue, "b0")
+
+                async def after_a_pause():
+                    await asyncio.sleep(0.005)  # well inside the 50 ms cap
+                    return await _enqueue(queue, "b1")
+
+                await asyncio.gather(first, after_a_pause())
+            return rec.batches
+
+        assert asyncio.run(run()) == [1, 1]
+
+    def test_sequential_single_client_does_not_wait_for_the_cap(self):
+        async def run():
+            latencies_ms = []
+            async with _batch_worker(max_linger_ms=50.0) as (queue, rec):
+                for i in range(21):
+                    started = time.perf_counter()
+                    await _enqueue(queue, f"b{i}")
+                    latencies_ms.append(
+                        (time.perf_counter() - started) * 1000.0
+                    )
+            return rec.batches, latencies_ms
+
+        batches, latencies_ms = asyncio.run(run())
+        assert batches == [1] * 21
+        assert statistics.median(latencies_ms) < 10.0
+
+    def test_zero_linger_takes_only_what_is_already_queued(self):
+        async def run():
+            async with _batch_worker(max_linger_ms=0.0) as (queue, rec):
+                queued = [_enqueue(queue, "b0"), _enqueue(queue, "b1")]
+                late = asyncio.create_task(_handler(queue, "b2", 0))
+                await asyncio.gather(*queued, late)
+            return rec.batches
+
+        assert asyncio.run(run()) == [2, 1]
+
+    def test_batch_size_caps_a_flush(self):
+        async def run():
+            async with _batch_worker(50.0, max_batch_size=2) as (queue, rec):
+                await asyncio.gather(
+                    *[_enqueue(queue, f"b{i}") for i in range(5)]
+                )
+            return rec.batches
+
+        assert asyncio.run(run()) == [2, 2, 1]
+
+    def test_linger_caps_a_batch_under_a_steady_stream(self):
+        """A request every pass keeps the batch open only up to the cap."""
+
+        async def run():
+            async with _batch_worker(max_linger_ms=2.0) as (queue, rec):
+                futures = [_enqueue(queue, "b0")]
+                for i in range(1, 20):
+                    await asyncio.sleep(0)
+                    time.sleep(0.001)  # each pass costs >= 1 ms
+                    futures.append(_enqueue(queue, f"b{i}"))
+                await asyncio.gather(*futures)
+            return rec.batches
+
+        batches = asyncio.run(run())
+        assert sum(batches) == 20
+        assert len(batches) > 1
+        assert max(batches) <= 4
