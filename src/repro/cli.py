@@ -631,7 +631,8 @@ def _cmd_fit(args: argparse.Namespace) -> int:
             raise ProfitMiningError(
                 "--store/--partition-size/--max-resident-mb need --backend ooc"
             )
-        db = load_transactions(args.data)
+        with obs.span("ingest"):
+            db = load_transactions(args.data)
         hierarchy = grouped_hierarchy(db.catalog)
         miner = _miner_for(args, hierarchy).fit(db)
         print(miner.summary())
@@ -642,7 +643,8 @@ def _cmd_fit(args: argparse.Namespace) -> int:
     if args.save_model:
         from repro.data.model_io import save_model
 
-        save_model(miner.require_fitted_recommender(), args.save_model)
+        with obs.span("save"):
+            save_model(miner.require_fitted_recommender(), args.save_model)
         print(f"model saved to {args.save_model}")
     return 0
 

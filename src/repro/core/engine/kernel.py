@@ -11,17 +11,23 @@ This module provides the dense alternative: every gsale's tid-mask
 becomes a row of ``ceil(n / 64)`` little-endian ``uint64`` chunks in a
 shared matrix, so a whole level of Apriori join candidates — or a body
 against every frequent head — is evaluated as one batched ``AND`` +
-popcount over contiguous rows.  The batched primitives release the GIL
-inside NumPy's ufunc loops, which is what makes the opt-in within-mine
-thread parallelism (``MinerConfig.n_jobs`` / ``REPRO_JOBS``) effective.
+popcount over contiguous rows.  Level 2 does not even AND its
+candidate pairs: :meth:`DenseBitsetKernel.pair_counts` histograms the
+member pairs of every transaction into one ``(r, r)`` co-occurrence
+matrix, so its cost follows the pairs that co-occur rather than all
+``r·(r−1)/2`` candidates, and only the frequent pairs' rows are ever
+ANDed.  The batched primitives release the GIL inside NumPy's ufunc
+loops, which is what makes the opt-in within-mine thread parallelism
+(``MinerConfig.n_jobs`` / ``REPRO_JOBS``) effective.
 
 Equivalence with the big-int backend is structural, not numerical: the
 dense rows are bit-for-bit the same masks (``to_int``/``from_int`` are
 exact inverses on ``n``-bit values, with the pad bits of the last chunk
-always zero), candidate generation order is shared with the big-int
-path, and credited-profit sums are *not* vectorized — survivors convert
-their hit rows back to Python ints and run the exact sequential
-summation the big-int backend runs, so every float in a
+always zero), counts are exact integers whether they come from popcount
+or from the pair histogram, candidate generation order is shared with
+the big-int path, and credited-profit sums are *not* vectorized —
+survivors convert their hit rows back to Python ints and run the exact
+sequential summation the big-int backend runs, so every float in a
 :class:`~repro.core.mining.MiningResult` is identical, not just close.
 See ``docs/ALGORITHMS.md`` §9 for the full argument.
 
@@ -74,6 +80,12 @@ DENSE_MIN_TRANSACTIONS = 4096
 BACKENDS = ("auto", "dense", "bigint", "ooc")
 
 _CHUNK_BITS = 64
+
+#: Transaction block of :meth:`DenseBitsetKernel.pair_counts`: 128 chunks
+#: (8,192 transactions).  It bounds the transient per-block bit matrix
+#: (``rows × 8,192`` bytes) and pair-code array; counts are identical at
+#: any block size.
+_PAIR_BLOCK_CHUNKS = 128
 
 
 def resolve_backend(backend: str, n_transactions: int) -> str:
@@ -326,6 +338,63 @@ class DenseBitsetKernel:
         anded, counts = self.and_counts(rows, left, right)
         keep = np.flatnonzero(counts >= min_count)
         return keep.tolist(), anded[keep]
+
+    def pair_counts(
+        self, rows: "numpy.ndarray", executor=None, n_jobs: int = 1
+    ) -> "numpy.ndarray":
+        """Co-occurrence counts of every row pair, as one histogram.
+
+        Returns an ``(r, r)`` int64 matrix whose entry ``[i, j]`` for
+        ``i < j`` equals ``popcount(rows[i] & rows[j])``; entries with
+        ``i >= j`` are zero.  Instead of ANDing all ``r·(r−1)/2`` row
+        pairs, each block of transactions is unpacked into per-transaction
+        member lists, every member pair of every transaction becomes the
+        code ``i·r + j``, and ``bincount`` tallies the codes.  The work is
+        proportional to the pairs that actually co-occur, and the counts
+        are exact integers, so the matrix equals the brute-force AND +
+        popcount entry for entry.  Blocks run through :func:`map_chunks`
+        and are summed in block order.
+        """
+        r = rows.shape[0]
+        if r < 2:
+            return np.zeros((r, r), dtype=np.int64)
+
+        def block_counts(start: int, stop: int) -> "numpy.ndarray":
+            # Byte b of row i holds transactions 8b..8b+7 (bit k = 8b+k),
+            # so unpacking the (bytes, rows) transpose along axis 0 gives a
+            # transaction-major (transactions, rows) bit matrix directly.
+            block = np.ascontiguousarray(rows[:, start:stop]).view(np.uint8)
+            bits = np.unpackbits(
+                np.ascontiguousarray(block.T), axis=0, bitorder="little"
+            )
+            txn, member = np.divmod(np.flatnonzero(bits), r)
+            # Members come out ascending within each transaction; element p
+            # pairs with the ``later[p]`` members after it in its own one.
+            ends = np.cumsum(np.bincount(txn))[txn]
+            later = ends - np.arange(txn.size) - 1
+            # Elements by descending ``later``: the elements with a partner
+            # at offset d are a prefix of ``by_later``, ``n_with[d]`` long.
+            by_later = np.argsort(-later, kind="stable")
+            n_with = np.bincount(later)[::-1].cumsum()[::-1]
+            base = member * r
+            codes = np.empty(int(later.sum()), dtype=np.int64)
+            pos = 0
+            for offset in range(1, n_with.size):
+                left = by_later[: n_with[offset]]
+                np.add(
+                    base[left],
+                    member[left + offset],
+                    out=codes[pos : pos + left.size],
+                )
+                pos += left.size
+            return np.bincount(codes, minlength=r * r)
+
+        counts = np.zeros(r * r, dtype=np.int64)
+        for part in map_chunks(
+            block_counts, rows.shape[1], _PAIR_BLOCK_CHUNKS, executor, n_jobs
+        ):
+            counts += part
+        return counts.reshape(r, r)
 
     def gather_rows(self, gids: Sequence[int]) -> "numpy.ndarray":
         """A fresh ``(len(gids), n_chunks)`` matrix of the given gsale rows."""

@@ -52,7 +52,7 @@ from repro.core.generalized import GKind, GSale
 from repro.core.moa import MOAHierarchy
 from repro.core.profit import ProfitModel
 from repro.core.rules import Rule, RuleStats, ScoredRule
-from repro.core.sales import TransactionDB
+from repro.core.sales import Sale, TransactionDB
 from repro.errors import MiningError, ValidationError
 from repro.obs import trace as obs
 
@@ -322,9 +322,6 @@ class TransactionIndex:
         assert self.symbols is not None
         sale_ids = self.symbols.sale_ids
         head_ids = self.symbols.head_ids
-        gsales = self.symbols.gsales
-        credited = self.profit_model.credited_profit
-        catalog = self.db.catalog
         body_positions: dict[int, list[int]] = {}
         head_positions: dict[int, list[int]] = {}
         for pos, transaction in enumerate(self.db):
@@ -338,13 +335,9 @@ class TransactionIndex:
 
             heads = frozenset(head_ids(transaction.target_sale))
             self.head_sets.append(heads)
-            profits: dict[int, float] = {}
             for hid in heads:
                 head_positions.setdefault(hid, []).append(pos)
-                profits[hid] = credited(
-                    gsales[hid], transaction.target_sale, catalog
-                )
-            self.head_profits.append(profits)
+        self.head_profits = self._credited_profits(self.profit_model)
         self.body_masks = {
             gid: _positions_to_mask(positions, self.n)
             for gid, positions in body_positions.items()
@@ -388,16 +381,36 @@ class TransactionIndex:
         index.kernel_cache = base.kernel_cache
         # Not shared: projected profits credit hits with the profit model.
         index.projected_profit_cache = {}
-        index.head_profits = [
-            {
-                hid: profit_model.credited_profit(
-                    base.gsales[hid], transaction.target_sale, base.db.catalog
-                )
-                for hid in heads
-            }
-            for transaction, heads in zip(base.db, base.head_sets)
-        ]
+        index.head_profits = index._credited_profits(profit_model)
         return index
+
+    def _credited_profits(
+        self, profit_model: ProfitModel
+    ) -> list[dict[int, float]]:
+        """Per-transaction ``{head id: credited profit}`` tables.
+
+        A transaction's heads and their credits depend only on its target
+        sale, and a database has few distinct target sales, so the table
+        is computed once per distinct (frozen, hashable) target sale and
+        the same dict is shared by every transaction with that sale.  Each
+        value comes from the same ``credited_profit`` call as an unshared
+        table would; readers only ever read the dicts.
+        """
+        gsales = self.gsales
+        catalog = self.db.catalog
+        credited = profit_model.credited_profit
+        tables: dict[Sale, dict[int, float]] = {}
+        out: list[dict[int, float]] = []
+        for transaction, heads in zip(self.db, self.head_sets):
+            target = transaction.target_sale
+            profits = tables.get(target)
+            if profits is None:
+                profits = {
+                    hid: credited(gsales[hid], target, catalog) for hid in heads
+                }
+                tables[target] = profits
+            out.append(profits)
+        return out
 
     # ------------------------------------------------------------------
     # Queries shared with covering / pruning
@@ -580,7 +593,8 @@ def _mine_rules_impl(
 
         return mine_partitioned_db(db, moa, profit_model, config)
     if index is None:
-        index = TransactionIndex(db=db, moa=moa, profit_model=profit_model)
+        with obs.span("mine.index_build"):
+            index = TransactionIndex(db=db, moa=moa, profit_model=profit_model)
     elif index.db is not db:
         raise MiningError(
             "injected TransactionIndex was built over a different database"
@@ -603,7 +617,10 @@ def _mine_rules_impl(
     backend = resolve_backend(config.backend, index.n)
     obs.annotate(backend=backend)
     obs.count(f"mine.backend.{backend}")
-    kernel = index.kernel() if backend == "dense" else None
+    kernel = None
+    if backend == "dense":
+        with obs.span("mine.mask_matrix"):
+            kernel = index.kernel()
     n_jobs = resolve_jobs(config.n_jobs) if kernel is not None else 1
     positions_of = index.mask_positions
 
@@ -1052,11 +1069,7 @@ def _next_level(
             candidate = left + (right[-1],)
             candidates += 1
             if candidates > config.max_candidates_per_level:
-                raise MiningError(
-                    f"candidate explosion at body size {size + 1} "
-                    f"(> {config.max_candidates_per_level}); raise min_support "
-                    "or lower max_body_size"
-                )
+                raise _explosion(size, config)
             if size == 1 and not _pair_is_ancestor_free(index, left[0], right[0]):
                 continue
             if size > 1 and not _all_subsets_frequent(candidate, level):
@@ -1068,6 +1081,15 @@ def _next_level(
     obs.count(f"mine.level{size + 1}.frequent", len(next_level))
     obs.count(f"mine.level{size + 1}.pruned", candidates - len(next_level))
     return next_level
+
+
+def _explosion(size: int, config: MinerConfig, where: str = "") -> MiningError:
+    """The candidate-cap error for the join from ``size`` to ``size + 1``."""
+    return MiningError(
+        f"candidate explosion at body size {size + 1}{where} "
+        f"(> {config.max_candidates_per_level}); raise min_support "
+        "or lower max_body_size"
+    )
 
 
 def _pair_is_ancestor_free(index: TransactionIndex, a: int, b: int) -> bool:
@@ -1105,11 +1127,9 @@ def _discover_apriori_dense(
 ) -> tuple[list[tuple[tuple[int, ...], int]], int]:
     """Level-wise Apriori search evaluated on the dense kernel.
 
-    Generates the same candidates in the same order as the big-int
-    :func:`_next_level` loop — candidate generation (join, ancestor-free
-    and subset pruning, the explosion cap) is the identical Python code —
-    and only replaces the per-candidate ``&`` + ``bit_count()`` with
-    batched AND + popcount over the level's row matrix.  Survivor masks
+    Finds the same bodies in the same order as the big-int
+    :func:`_next_level` loop (see :func:`_next_level_dense`), with the
+    same explosion cap and the same per-level counters.  Survivor masks
     are converted back to big ints so the body cache stays
     backend-agnostic: a big-int mine can replay a dense discovery and
     vice versa.
@@ -1133,17 +1153,20 @@ def _discover_apriori_dense(
 
     size = 1
     while level_keys and size < config.max_body_size:
-        level_keys, level_rows = _next_level_dense(
-            index,
+        level_keys, level_rows, candidates = _next_level_dense(
             kernel,
             level_keys,
             level_rows,
             minsup_count,
             config,
             size,
+            index.ancestor_ids,
             executor,
             n_jobs,
         )
+        obs.count(f"mine.level{size + 1}.candidates", candidates)
+        obs.count(f"mine.level{size + 1}.frequent", len(level_keys))
+        obs.count(f"mine.level{size + 1}.pruned", candidates - len(level_keys))
         frequent_body_count += len(level_keys)
         ordered_bodies.extend(
             (key, kernel.to_int(row))
@@ -1154,58 +1177,65 @@ def _discover_apriori_dense(
 
 
 def _next_level_dense(
-    index: TransactionIndex,
     kernel: DenseBitsetKernel,
     level_keys: list[tuple[int, ...]],
     level_rows: object,
     minsup_count: int,
     config: MinerConfig,
     size: int,
-    executor: ThreadPoolExecutor | None,
-    n_jobs: int,
-) -> tuple[list[tuple[int, ...]], object]:
+    ancestor_ids: list[frozenset[int]],
+    executor: ThreadPoolExecutor | None = None,
+    n_jobs: int = 1,
+    where: str = "",
+) -> tuple[list[tuple[int, ...]], object, int]:
     """Apriori join + prune of one level, evaluated in dense batches.
 
-    Returns the next level's keys (generation order, which for the
-    prefix join of sorted keys is itself sorted) and their row matrix.
-    Chunks bound peak memory and, with an executor, run concurrently;
-    results are gathered in chunk order, so the output is independent of
-    ``n_jobs``.
+    The one level step of both dense searches: the in-RAM one above
+    and SON pass 1 (:func:`repro.core.partition._local_frequent_bodies`,
+    which names its partition in ``where``).  Returns the next level's
+    keys (generation order, which for the prefix join of sorted keys is
+    itself sorted), their row matrix and the number of candidates the
+    big-int loop counts.  Level 2 takes its candidates from
+    :func:`_frequent_pairs_dense`; higher levels enumerate the prefix
+    join in Python.  Either way the candidates' parent rows are ANDed in
+    chunks that bound peak memory and, with an executor, run
+    concurrently; results are gathered in chunk order, so the output is
+    independent of ``n_jobs``.
     """
-    order = sorted(range(len(level_keys)), key=level_keys.__getitem__)
-    keys = [level_keys[i] for i in order]
-    key_set = frozenset(keys)
-    ancestor_ids = index.ancestor_ids  # hoisted: the level-2 inner loop
-    cand_keys: list[tuple[int, ...]] = []
-    left_rows: list[int] = []
-    right_rows: list[int] = []
-    candidates = 0
-    for i, left in enumerate(keys):
-        for j in range(i + 1, len(keys)):
-            right = keys[j]
-            if left[:-1] != right[:-1]:
-                break  # sorted keys: the shared prefix can only shrink
-            candidate = left + (right[-1],)
-            candidates += 1
-            if candidates > config.max_candidates_per_level:
-                raise MiningError(
-                    f"candidate explosion at body size {size + 1} "
-                    f"(> {config.max_candidates_per_level}); raise min_support "
-                    "or lower max_body_size"
-                )
-            if size == 1:
-                # Definition 4 on the pair (sorted distinct keys, so the
-                # ids already differ) — same predicate as
-                # :func:`_pair_is_ancestor_free` with the subsumption
-                # table hoisted out of the inner loop.
-                a, b = left[0], right[0]
-                if a in ancestor_ids[b] or b in ancestor_ids[a]:
+    if size == 1:
+        candidates, cand_keys, left_rows, right_rows = _frequent_pairs_dense(
+            kernel,
+            [key[0] for key in level_keys],
+            level_rows,
+            minsup_count,
+            config,
+            ancestor_ids,
+            executor,
+            n_jobs,
+            where,
+        )
+    else:
+        order = sorted(range(len(level_keys)), key=level_keys.__getitem__)
+        keys = [level_keys[i] for i in order]
+        key_set = frozenset(keys)
+        candidates = 0
+        cand_keys = []
+        left_rows = []
+        right_rows = []
+        for i, left in enumerate(keys):
+            for j in range(i + 1, len(keys)):
+                right = keys[j]
+                if left[:-1] != right[:-1]:
+                    break  # sorted keys: the shared prefix can only shrink
+                candidate = left + (right[-1],)
+                candidates += 1
+                if candidates > config.max_candidates_per_level:
+                    raise _explosion(size, config, where)
+                if not _all_subsets_frequent(candidate, key_set):
                     continue
-            elif not _all_subsets_frequent(candidate, key_set):
-                continue
-            cand_keys.append(candidate)
-            left_rows.append(order[i])
-            right_rows.append(order[j])
+                cand_keys.append(candidate)
+                left_rows.append(order[i])
+                right_rows.append(order[j])
 
     def join_chunk(start: int, stop: int) -> tuple[list[int], object]:
         return kernel.join_pairs(
@@ -1225,10 +1255,52 @@ def _next_level_dense(
         next_keys.extend(cand_keys[base + local] for local in kept)
         if kept:
             kept_parts.append(rows)
-    obs.count(f"mine.level{size + 1}.candidates", candidates)
-    obs.count(f"mine.level{size + 1}.frequent", len(next_keys))
-    obs.count(f"mine.level{size + 1}.pruned", candidates - len(next_keys))
-    return next_keys, kernel.stack(kept_parts)
+    return next_keys, kernel.stack(kept_parts), candidates
+
+
+def _frequent_pairs_dense(
+    kernel: DenseBitsetKernel,
+    gids: list[int],
+    rows: object,
+    minsup_count: int,
+    config: MinerConfig,
+    ancestor_ids: list[frozenset[int]],
+    executor: ThreadPoolExecutor | None,
+    n_jobs: int,
+    where: str,
+) -> tuple[int, list[tuple[int, ...]], list[int], list[int]]:
+    """Level-2 candidates from one pair histogram instead of every AND.
+
+    ``gids`` are the frequent level-1 gsales, ascending, and ``rows``
+    their matrix rows.  The prefix join of level 1 pairs every gsale with
+    every later one, so the big-int loop counts ``n1·(n1−1)/2``
+    candidates and trips the cap exactly when that exceeds
+    ``max_candidates_per_level`` — checked here before anything is
+    allocated.  :meth:`DenseBitsetKernel.pair_counts` then gives every
+    pair's exact support at once; the pairs meeting ``minsup_count`` come
+    out of ``nonzero`` in row-major order, which is the loop's ``(i, j)``
+    order, and the Definition 4 ancestor-free test runs on those few
+    only.  Returns that candidate count and the surviving pairs' keys,
+    left rows and right rows; the caller's join materializes their rows,
+    its popcount re-checking each count.
+    """
+    n1 = len(gids)
+    candidates = n1 * (n1 - 1) // 2
+    if candidates > config.max_candidates_per_level:
+        raise _explosion(1, config, where)
+    counts = kernel.pair_counts(rows, executor, n_jobs)
+    frequent_i, frequent_j = (counts >= minsup_count).nonzero()
+    cand_keys: list[tuple[int, ...]] = []
+    left_rows: list[int] = []
+    right_rows: list[int] = []
+    for i, j in zip(frequent_i.tolist(), frequent_j.tolist()):
+        a, b = gids[i], gids[j]
+        if a in ancestor_ids[b] or b in ancestor_ids[a]:
+            continue
+        cand_keys.append((a, b))
+        left_rows.append(i)
+        right_rows.append(j)
+    return candidates, cand_keys, left_rows, right_rows
 
 
 def _build_default_rule(

@@ -71,8 +71,8 @@ from repro.core.mining import (
     MinerConfig,
     MiningResult,
     TransactionIndex,
-    _all_subsets_frequent,
     _build_default_rule,
+    _next_level_dense,
 )
 from repro.core.moa import MOAHierarchy
 from repro.core.profit import ProfitModel
@@ -287,11 +287,11 @@ def _local_frequent_bodies(
 ) -> set[Body]:
     """Pass 1 on one partition: its locally frequent ancestor-free bodies.
 
-    Identical candidate generation to the in-RAM dense Apriori
-    (:func:`repro.core.mining._next_level_dense`): sorted prefix join,
-    ancestor-free pairs at level 2, all-subsets pruning above, the
-    explosion cap — only the support threshold is the partition-local
-    one.
+    Runs the in-RAM dense Apriori's own level step
+    (:func:`repro.core.mining._next_level_dense`: the level-2 pair
+    histogram, the sorted prefix join with all-subsets pruning above it,
+    the explosion cap) on the partition's kernel — only the support
+    threshold is the partition-local one.
     """
     minsup = _local_minsup(config.min_support, part.n)
     kernel = part.kernel()
@@ -304,49 +304,16 @@ def _local_frequent_bodies(
         found: set[Body] = set(keys)
         size = 1
         while keys and size < config.max_body_size:
-            key_set = frozenset(keys)
-            cand_keys: list[Body] = []
-            left_rows: list[int] = []
-            right_rows: list[int] = []
-            candidates = 0
-            for i, left in enumerate(keys):
-                for j in range(i + 1, len(keys)):
-                    right = keys[j]
-                    if left[:-1] != right[:-1]:
-                        break  # sorted keys: the shared prefix can only shrink
-                    candidate = left + (right[-1],)
-                    candidates += 1
-                    if candidates > config.max_candidates_per_level:
-                        raise MiningError(
-                            f"candidate explosion at body size {size + 1} in "
-                            f"partition {part.name} "
-                            f"(> {config.max_candidates_per_level}); raise "
-                            "min_support or lower max_body_size"
-                        )
-                    if size == 1:
-                        a, b = left[0], right[0]
-                        if a in ancestor_ids[b] or b in ancestor_ids[a]:
-                            continue
-                    elif not _all_subsets_frequent(candidate, key_set):
-                        continue
-                    cand_keys.append(candidate)
-                    left_rows.append(i)
-                    right_rows.append(j)
-            # Bounded join batches, exactly like the in-RAM dense path:
-            # one unchunked join would gather two (n_pairs, n_chunks)
-            # matrices at once, which at partition scale is hundreds of MB.
-            kept: list[int] = []
-            row_parts: list["numpy.ndarray"] = []
-            for start in range(0, len(cand_keys), _JOIN_CHUNK):
-                stop = min(start + _JOIN_CHUNK, len(cand_keys))
-                part_kept, part_rows = kernel.join_pairs(
-                    rows, left_rows[start:stop], right_rows[start:stop], minsup
-                )
-                kept.extend(start + k for k in part_kept)
-                if len(part_kept):
-                    row_parts.append(part_rows)
-            rows = kernel.stack(row_parts)
-            keys = [cand_keys[k] for k in kept]
+            keys, rows, _ = _next_level_dense(
+                kernel,
+                keys,
+                rows,
+                minsup,
+                config,
+                size,
+                ancestor_ids,
+                where=f" in partition {part.name}",
+            )
             found.update(keys)
             size += 1
         obs.count("partition.partitions_mined")

@@ -15,7 +15,7 @@ from typing import Any, Iterable, Iterator
 from repro.core.items import Item, ItemCatalog
 from repro.core.promotion import PromotionCode
 from repro.core.sales import Sale, Transaction, TransactionDB
-from repro.errors import SerializationError
+from repro.errors import SerializationError, ValidationError
 
 __all__ = [
     "catalog_to_dict",
@@ -116,7 +116,9 @@ def transaction_from_dict(payload: dict[str, Any]) -> Transaction:
         return Transaction(
             tid=int(payload["tid"]), nontarget_sales=nontarget, target_sale=target
         )
-    except (KeyError, IndexError, TypeError) as exc:
+    except ValidationError:
+        raise  # already names the bad value (e.g. a non-positive quantity)
+    except (KeyError, IndexError, TypeError, ValueError) as exc:
         raise SerializationError(f"malformed transaction payload: {exc}") from exc
 
 
@@ -174,11 +176,14 @@ def iter_transactions(path: str | Path) -> Iterator[Transaction]:
             if not line.strip():
                 continue
             try:
-                yield transaction_from_dict(json.loads(line))
+                transaction = transaction_from_dict(json.loads(line))
             except json.JSONDecodeError as exc:
                 raise SerializationError(
                     f"{path}:{line_no}: bad transaction line: {exc}"
                 ) from exc
+            except (SerializationError, ValidationError) as exc:
+                raise type(exc)(f"{path}:{line_no}: {exc}") from exc
+            yield transaction
 
 
 def write_transactions_stream(

@@ -90,6 +90,57 @@ class TestGenerateAndFit:
         assert code == 1
         assert "error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("backend", ["auto", "ooc"])
+    def test_malformed_transaction_line_is_reported_with_its_line(
+        self, tmp_path, capsys, backend
+    ):
+        data = tmp_path / "data.jsonl"
+        main(["generate", "--transactions", "50", "--items", "20", "--out", str(data)])
+        line = {"tid": 50, "sales": [["I0", "P0", "many"]], "target": ["T0", "P0", 1]}
+        with data.open("a") as handle:
+            handle.write(json.dumps(line) + "\n")
+        capsys.readouterr()
+        code = main(["fit", "--data", str(data), "--backend", backend])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert f"{data}:52: malformed transaction payload" in err
+
+
+class TestFitTrace:
+    def test_profile_fit_attributes_ingest_index_mask_and_save(
+        self, tmp_path, capsys
+    ):
+        data = tmp_path / "data.jsonl"
+        main(["generate", "--transactions", "300", "--items", "40", "--out", str(data)])
+        trace_path = tmp_path / "trace.json"
+        code = main(
+            [
+                "profile",
+                "--trace-out",
+                str(trace_path),
+                "fit",
+                "--data",
+                str(data),
+                "--backend",
+                "dense",
+                "--save-model",
+                str(tmp_path / "model.json"),
+            ]
+        )
+        assert code == 0
+        spans = json.loads(trace_path.read_text())["spans"]
+        top = [span["name"] for span in spans]
+        assert top[0] == "ingest"
+        assert top[-1] == "save"
+        mine = next(span for span in spans if span["name"] == "mine")
+        assert [child["name"] for child in mine["children"]] == [
+            "mine.index_build",
+            "mine.mask_matrix",
+            "mine.discover",
+            "mine.emit",
+        ]
+
 
 class TestExperimentCommands:
     def test_figure_3e_runs_at_tiny_scale(self, capsys, monkeypatch):

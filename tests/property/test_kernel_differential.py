@@ -31,6 +31,7 @@ from repro.core.mining import MinerConfig, filter_mining_result, mine_rules
 from repro.core.moa import MOAHierarchy
 from repro.core.profit import SavingMOA
 from repro.core.sales import Sale, Transaction, TransactionDB
+from repro.obs.trace import tracing
 
 from tests.property.test_mining_properties import mining_problems
 from tests.unit.test_mining import LeakyMOA
@@ -85,6 +86,30 @@ class TestRandomProblems:
         db, moa, config = problem
         dense, bigint = _mine_both(db, moa, config)
         assert _signature(dense) == _signature(bigint)
+
+    @given(mining_problems())
+    @settings(max_examples=25, deadline=None)
+    def test_level_counters_identical(self, problem):
+        # The dense level 2 never enumerates its candidates, yet must
+        # report the same candidates/frequent/pruned tallies as the loop.
+        db, moa, config = problem
+        counters = {}
+        for backend in ("dense", "bigint"):
+            with tracing(backend) as trace:
+                mine_rules(db, moa, SavingMOA(), replace(config, backend=backend))
+            counters[backend] = {
+                name: value
+                for name, value in trace.counters.items()
+                if name.startswith("mine.level")
+            }
+        assert counters["dense"] == counters["bigint"]
+        n1 = counters["bigint"]["mine.level1.frequent"]
+        if config.max_body_size >= 2 and n1 >= 2:
+            assert {
+                "mine.level2.candidates",
+                "mine.level2.frequent",
+                "mine.level2.pruned",
+            } <= counters["dense"].keys()
 
     @given(mining_problems(), st.integers(2, 4))
     @settings(max_examples=15, deadline=None)

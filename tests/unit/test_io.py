@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import re
 
 import pytest
 
@@ -17,7 +18,10 @@ from repro.data.io import (
     transaction_to_dict,
     write_transactions_stream,
 )
-from repro.errors import SerializationError
+from repro.errors import SerializationError, ValidationError
+
+#: A well-formed target sale for hand-written transaction payloads.
+TARGET = ["Sunchip", "H", 1]
 
 
 class TestCatalogRoundTrip:
@@ -49,6 +53,24 @@ class TestTransactionRoundTrip:
     def test_malformed_rejected(self):
         with pytest.raises(SerializationError, match="malformed"):
             transaction_from_dict({"tid": 0})
+
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            {"tid": 0, "sales": [["Bread", "P1", "many"]], "target": TARGET},
+            {"tid": 0, "sales": [], "target": ["Sunchip", "H", "lots"]},
+            {"tid": "first", "sales": [], "target": TARGET},
+        ],
+    )
+    def test_unparseable_numbers_rejected(self, payload):
+        with pytest.raises(SerializationError, match="malformed"):
+            transaction_from_dict(payload)
+
+    def test_invalid_values_keep_their_validation_error(self):
+        with pytest.raises(ValidationError, match="quantity"):
+            transaction_from_dict(
+                {"tid": 0, "sales": [["Bread", "P1", -2]], "target": TARGET}
+            )
 
 
 class TestFileRoundTrip:
@@ -124,6 +146,22 @@ class TestStreaming:
             handle.write("{broken\n")
         with pytest.raises(SerializationError, match=str(len(small_db) + 2)):
             list(iter_transactions(path))
+
+    @pytest.mark.parametrize(
+        ("quantity", "error"),
+        [("many", SerializationError), (-1, ValidationError), (0, ValidationError)],
+    )
+    def test_bad_values_report_path_and_line(self, small_db, tmp_path, quantity, error):
+        path = tmp_path / "bad.jsonl"
+        save_transactions(small_db, path)
+        line = {"tid": 999, "sales": [["Bread", "P1", quantity]], "target": TARGET}
+        with path.open("a") as handle:
+            handle.write(json.dumps(line) + "\n")
+        where = f"{path}:{len(small_db) + 2}: "
+        with pytest.raises(error, match=f"^{re.escape(where)}"):
+            list(iter_transactions(path))
+        with pytest.raises(error, match=f"^{re.escape(where)}"):
+            load_transactions(path)
 
     def test_iter_transactions_rejects_empty_file(self, tmp_path):
         path = tmp_path / "empty.jsonl"

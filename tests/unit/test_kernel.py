@@ -2,7 +2,11 @@
 
 from __future__ import annotations
 
+from concurrent.futures import ThreadPoolExecutor
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.engine import kernel as kernel_mod
 from repro.core.engine.kernel import (
@@ -79,6 +83,68 @@ class TestJoinPairs:
         kernel = DenseBitsetKernel(4, {0: 0b1111})
         assert kernel.intersect_to_int([0, 99]) == 0
         assert kernel.intersect_to_int([0]) == 0b1111
+
+
+#: Transactions per ``pair_counts`` block, and sizes around its seams:
+#: the uint64 chunk seams (n ≡ 0/1 mod 64) and several whole blocks.
+PAIR_BLOCK = kernel_mod._PAIR_BLOCK_CHUNKS * 64
+PAIR_SIZES = [1, 2, 63, 64, 65, 127, 128, 129, PAIR_BLOCK, 2 * PAIR_BLOCK + 1]
+
+
+@st.composite
+def pair_problems(draw):
+    """``n`` and up to 6 masks: all-zero, all-one or sparse random rows."""
+    n = draw(st.sampled_from(PAIR_SIZES))
+    full = (1 << n) - 1
+    sparse = st.lists(st.integers(0, n - 1), max_size=min(n, 40)).map(
+        lambda positions: sum(1 << p for p in set(positions))
+    )
+    masks = draw(
+        st.lists(st.one_of(st.just(0), st.just(full), sparse), max_size=6)
+    )
+    return n, masks
+
+
+def _brute_pair_counts(masks):
+    return [
+        [
+            (masks[i] & masks[j]).bit_count() if i < j else 0
+            for j in range(len(masks))
+        ]
+        for i in range(len(masks))
+    ]
+
+
+@needs_numpy
+class TestPairCounts:
+    @given(pair_problems())
+    @settings(max_examples=60, deadline=None)
+    def test_equals_brute_force_and_popcount(self, problem):
+        n, masks = problem
+        kernel = DenseBitsetKernel(n, {})
+        counts = kernel.pair_counts(kernel.pack_masks(masks))
+        assert counts.shape == (len(masks), len(masks))
+        assert counts.tolist() == _brute_pair_counts(masks)
+
+    @pytest.mark.parametrize("n_rows", [0, 1, 2])
+    def test_tiny_row_counts(self, n_rows):
+        masks = [0b1011, 0b0110][:n_rows]
+        kernel = DenseBitsetKernel(4, {})
+        counts = kernel.pair_counts(kernel.pack_masks(masks))
+        assert counts.tolist() == _brute_pair_counts(masks)
+
+    def test_threaded_blocks_match_sequential(self):
+        n = 3 * PAIR_BLOCK + 5
+        masks = [
+            sum(1 << p for p in range(start, n, step))
+            for start, step in [(0, 3), (1, 5), (2, 7), (n - 1, 1), (0, 64)]
+        ]
+        kernel = DenseBitsetKernel(n, {})
+        rows = kernel.pack_masks(masks)
+        with ThreadPoolExecutor(max_workers=2) as executor:
+            threaded = kernel.pair_counts(rows, executor, 2)
+        assert threaded.tolist() == kernel.pair_counts(rows).tolist()
+        assert threaded.tolist() == _brute_pair_counts(masks)
 
 
 class TestResolveBackend:

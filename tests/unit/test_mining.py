@@ -70,6 +70,29 @@ class TestTransactionIndex:
         for pos in TransactionIndex.iter_bits(index.head_hits_mask(low)):
             assert index.hit_profit(pos, low) == pytest.approx(1.8)
 
+    @pytest.mark.parametrize("profit_model", [SavingMOA(), BinaryProfit()])
+    def test_head_profits_shared_per_target_sale(
+        self, small_db, small_moa, profit_model
+    ):
+        base = TransactionIndex(db=small_db, moa=small_moa, profit_model=SavingMOA())
+        for index in (
+            TransactionIndex(db=small_db, moa=small_moa, profit_model=profit_model),
+            TransactionIndex.with_profit_model(base, profit_model),
+        ):
+            by_sale = {}
+            for transaction, heads, profits in zip(
+                small_db, index.head_sets, index.head_profits
+            ):
+                target = transaction.target_sale
+                assert profits == {
+                    hid: profit_model.credited_profit(
+                        index.gsales[hid], target, small_db.catalog
+                    )
+                    for hid in heads
+                }
+                assert by_sale.setdefault(target, profits) is profits
+            assert len(by_sale) < len(small_db)
+
     def test_iter_bits(self):
         assert list(TransactionIndex.iter_bits(0b101001)) == [0, 3, 5]
         assert list(TransactionIndex.iter_bits(0)) == []
@@ -209,6 +232,32 @@ class TestMineRules:
         )
         with pytest.raises(MiningError, match="explosion"):
             mine_rules(small_db, small_moa, SavingMOA(), config)
+
+    @pytest.mark.parametrize("backend", ["bigint", "dense", "ooc"])
+    def test_level2_cap_is_exactly_all_pairs(self, tiny_dataset_i, backend):
+        # Level 2 pairs every frequent gsale with every later one, so the
+        # cap trips exactly above n1·(n1−1)/2 on every backend (ooc mines
+        # the 600 transactions as one partition, whose local threshold is
+        # the global one).
+        db = tiny_dataset_i.db
+        moa = MOAHierarchy(db.catalog, tiny_dataset_i.hierarchy)
+        index = TransactionIndex(db=db, moa=moa, profit_model=SavingMOA())
+        minsup = max(1, math.ceil(0.05 * index.n))
+        n1 = sum(mask.bit_count() >= minsup for mask in index.body_masks.values())
+        pairs = n1 * (n1 - 1) // 2
+
+        def mine(cap):
+            config = MinerConfig(
+                min_support=0.05,
+                max_body_size=2,
+                max_candidates_per_level=cap,
+                backend=backend,
+            )
+            return mine_rules(db, moa, SavingMOA(), config)
+
+        assert mine(pairs).frequent_body_count > n1  # some pairs are frequent
+        with pytest.raises(MiningError, match="explosion"):
+            mine(pairs - 1)
 
 
 class LeakyMOA(MOAHierarchy):
