@@ -23,7 +23,9 @@ even on machines that have them installed), then:
 * serves ranked top-k portfolios (batched vs naive parity) and plans a
   small campaign where greedy and exact selection must agree — the
   portfolio layer is plain-dict arithmetic and must survive a
-  numpy-free install too.
+  numpy-free install too,
+* drives the CLI entry point: ``query`` and ``plan`` run against the
+  saved v3 artifact (exit code 0) and ``serve --model`` parses.
 
 Run from the repository root::
 
@@ -167,10 +169,10 @@ def main() -> None:
         indexed = [h.rank for h in store.query(**kwargs)]
         naive = [h.rank for h in store.query(naive=True, **kwargs)]
         assert indexed == naive, f"query {kwargs} diverged without numpy"
-    with tempfile.TemporaryDirectory() as tmp:
-        path = Path(tmp) / "model.json"
-        save_model(recommender, path)  # v3: persists the columnar store
-        restored = load_model(path)
+    tmp_dir = tempfile.TemporaryDirectory()
+    model_path = Path(tmp_dir.name) / "model.json"
+    save_model(recommender, model_path)  # v3: persists the columnar store
+    restored = load_model(model_path)
     assert list(restored.ranked_rules) == list(recommender.ranked_rules)
 
     # Top-k portfolios and the campaign planner are stdlib arithmetic on
@@ -192,12 +194,38 @@ def main() -> None:
     )
     assert exact_plan.expected_profit > 0.0
 
+    # The CLI entry point serves the same install: `query`, `plan` and
+    # `serve` must import and run without the miner's or the generators'
+    # numpy/scipy dependencies.
+    import contextlib
+    import io
+
+    from repro.cli import build_parser
+    from repro.cli import main as cli_main
+    from repro.data.io import save_transactions
+
+    data_path = Path(tmp_dir.name) / "baskets.jsonl"
+    save_transactions(db, data_path)
+    cli_runs = [
+        ["query", "--model", str(model_path), "--top", "3"],
+        ["plan", "--model", str(model_path), "--data", str(data_path)],
+    ]
+    for argv in cli_runs:
+        with contextlib.redirect_stdout(io.StringIO()) as out:
+            code = cli_main(argv)
+        assert code == 0, f"`{argv[0]}` exited {code} without numpy"
+        assert out.getvalue().strip(), f"`{argv[0]}` printed nothing"
+    serve_args = build_parser().parse_args(["serve", "--model", str(model_path)])
+    assert serve_args.model == [str(model_path)]
+    tmp_dir.cleanup()
+
     print(
         f"numpy-free fallback OK: {len(auto.all_rules)} rules mined on "
         f"big-int backend, {served}/{len(db)} baskets served, "
         f"{len(queries)} store queries + v3 round trip verified, "
         f"top-3 parity on {len(baskets)} baskets, campaign plan "
-        f"${exact_plan.expected_profit:.2f} (greedy == exact)"
+        f"${exact_plan.expected_profit:.2f} (greedy == exact), CLI "
+        f"query + plan ran and serve parsed"
     )
 
 

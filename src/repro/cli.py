@@ -13,36 +13,25 @@ from __future__ import annotations
 import argparse
 import sys
 from dataclasses import dataclass
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 from repro import __version__
-from repro.core.engine import BACKENDS
-from repro.core.miner import ProfitMiner, ProfitMinerConfig
-from repro.core.mining import MinerConfig
-from repro.data.datasets import build_dataset, dataset_i_config, dataset_ii_config
-from repro.data.hierarchy_gen import grouped_hierarchy
-from repro.data.io import load_transactions, save_transactions
+from repro.core.engine.kernel import BACKENDS
 from repro.errors import ProfitMiningError
-from repro.eval.experiments import (
-    ExperimentScale,
-    behavior_gain,
-    gain_and_size_sweep,
-    get_dataset,
-    profit_distribution,
-    profit_range_hit_rates,
-    scale_from_env,
-)
-from repro.eval.reporting import format_histogram, format_series, format_table
 from repro.obs import trace as obs
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.core.miner import ProfitMiner
+    from repro.eval.experiments import ExperimentScale
+
+# Only what build_parser/main need is imported above.  Every handler
+# imports its own modules, so `serve`, `query` and `plan` never load the
+# miner, the pruning stack (and scipy), the eval harness or the numpy
+# generators — nor need them installed.
 
 __all__ = ["main", "build_parser"]
 
-_SCALES = {
-    "tiny": ExperimentScale.tiny,
-    "small": ExperimentScale.small,
-    "medium": ExperimentScale.medium,
-    "paper": ExperimentScale.paper,
-}
+_SCALES = ("tiny", "small", "medium", "paper")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -494,9 +483,11 @@ def _add_store_arguments(parser: argparse.ArgumentParser) -> None:
 
 
 def _resolve_scale(label: str | None) -> ExperimentScale:
+    from repro.eval.experiments import ExperimentScale, scale_from_env
+
     if label is None:
         return scale_from_env()
-    return _SCALES[label]()
+    return getattr(ExperimentScale, label)()
 
 
 def _resolve_jobs(args: argparse.Namespace) -> int:
@@ -510,6 +501,9 @@ def _resolve_jobs(args: argparse.Namespace) -> int:
 
 
 def _cmd_generate(args: argparse.Namespace) -> int:
+    from repro.data.datasets import build_dataset, dataset_i_config, dataset_ii_config
+    from repro.data.io import save_transactions
+
     config_fn = dataset_i_config if args.dataset == "I" else dataset_ii_config
     config = config_fn(
         n_transactions=args.transactions,
@@ -538,6 +532,9 @@ def _cmd_generate(args: argparse.Namespace) -> int:
 
 
 def _miner_for(args: argparse.Namespace, hierarchy) -> ProfitMiner:
+    from repro.core.miner import ProfitMiner, ProfitMinerConfig
+    from repro.core.mining import MinerConfig
+
     return ProfitMiner(
         hierarchy,
         config=ProfitMinerConfig(
@@ -582,7 +579,8 @@ def _print_streamed_mix(miner: ProfitMiner, transactions) -> None:
 
 
 def _cmd_fit(args: argparse.Namespace) -> int:
-    from repro.data.io import iter_transactions, read_catalog
+    from repro.data.hierarchy_gen import grouped_hierarchy
+    from repro.data.io import iter_transactions, load_transactions, read_catalog
 
     if args.backend == "ooc":
         # True out-of-core path: the transaction file is streamed into the
@@ -652,6 +650,7 @@ def _cmd_fit(args: argparse.Namespace) -> int:
 def _cmd_refresh(args: argparse.Namespace) -> int:
     from repro.core.engine.store import ChunkedTransactionStore
     from repro.core.moa import MOAHierarchy
+    from repro.data.hierarchy_gen import grouped_hierarchy
     from repro.data.io import iter_transactions, read_catalog
 
     catalog = read_catalog(args.data)
@@ -684,6 +683,7 @@ def _cmd_export(args: argparse.Namespace) -> int:
         export_rules_csv,
         pruning_summary,
     )
+    from repro.data.io import load_transactions
 
     if args.model is None and args.data is None:
         raise ProfitMiningError("export needs --data (fit) or --model (load)")
@@ -709,20 +709,10 @@ def _cmd_export(args: argparse.Namespace) -> int:
                 f"wrote {n_recs} recommendations to {args.recommendations_out}"
             )
         return 0
+    from repro.data.hierarchy_gen import grouped_hierarchy
+
     db = load_transactions(args.data)
-    hierarchy = grouped_hierarchy(db.catalog)
-    miner = ProfitMiner(
-        hierarchy,
-        config=ProfitMinerConfig(
-            mining=MinerConfig(
-                min_support=args.min_support,
-                max_body_size=args.max_body_size,
-                backend=args.backend,
-                n_jobs=args.jobs,
-            ),
-            use_moa=not args.no_moa,
-        ),
-    ).fit(db)
+    miner = _miner_for(args, grouped_hierarchy(db.catalog)).fit(db)
     n_rules = export_rules_csv(miner, args.out)
     summary = pruning_summary(miner)
     print(
@@ -737,6 +727,9 @@ def _cmd_export(args: argparse.Namespace) -> int:
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
+    from repro.eval.experiments import gain_and_size_sweep
+    from repro.eval.reporting import format_series
+
     scale = _resolve_scale(args.scale)
     sweep = gain_and_size_sweep(args.dataset, scale, n_jobs=_resolve_jobs(args))
     for metric in ("gain", "hit_rate", "model_size"):
@@ -774,8 +767,10 @@ def _cmd_compare(args: argparse.Namespace) -> int:
     from dataclasses import replace
 
     from repro.eval.cross_validation import cross_validate, kfold_indices
+    from repro.eval.experiments import get_dataset
     from repro.eval.harness import eval_config_for_system, paper_recommenders
     from repro.eval.metrics import EvalConfig
+    from repro.eval.reporting import format_table
     from repro.eval.stats import compare_gains
 
     scale = _resolve_scale(args.scale)
@@ -850,6 +845,14 @@ def _cmd_report(args: argparse.Namespace) -> int:
 
 
 def _cmd_figure(args: argparse.Namespace) -> int:
+    from repro.eval.experiments import (
+        behavior_gain,
+        gain_and_size_sweep,
+        profit_distribution,
+        profit_range_hit_rates,
+    )
+    from repro.eval.reporting import format_histogram, format_series, format_table
+
     which = "I" if args.panel[0] == "3" else "II"
     panel = args.panel[1]
     scale = _resolve_scale(args.scale)
@@ -883,6 +886,7 @@ def _cmd_query(args: argparse.Namespace) -> int:
     import json
 
     from repro.data.model_io import load_model
+    from repro.eval.reporting import format_table
 
     recommender = load_model(args.model)
     hits = recommender.query_rules(
@@ -944,7 +948,9 @@ def _cmd_plan(args: argparse.Namespace) -> int:
     import json
 
     from repro.campaign import plan_campaign
+    from repro.data.io import load_transactions
     from repro.data.model_io import load_model
+    from repro.eval.reporting import format_table
 
     recommender = load_model(args.model)
     db = load_transactions(args.data)

@@ -26,7 +26,11 @@ from repro.core.engine.symbols import SymbolTable
 from repro.core.rules import ScoredRule
 from repro.core.sales import Sale
 
-try:  # optional "dense" extra; matching falls back to the dict loop.
+# Eager on purpose, and on the serving path: `matching_indices` uses
+# `np.bincount` on models of >= _DENSE_MATCH_MIN_RULES rules, and numpy
+# costs only ~0.1 s of `repro serve`'s start-up.  Optional "dense" extra;
+# without it matching falls back to the dict loop.
+try:
     import numpy as np
 except ImportError:  # pragma: no cover - exercised by the numpy-free leg
     np = None  # type: ignore[assignment]

@@ -21,9 +21,13 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-try:  # scipy ships with the default install; the numpy-free footprint
-    # (mining + serving on the big-int backend) never reaches the Beta
-    # quantile below, so the import failure is deferred to first use.
+# Eager on purpose (~1 s).  Fitting prunes, so a lazy import would only
+# move that second from process start into the first timed fit; serving
+# never imports this module (`repro.core` exports lazily), so it never
+# pays.  scipy ships with the default install; the numpy-free footprint
+# (mining + serving on the big-int backend) never reaches the Beta
+# quantile below, so the import failure is deferred to first use.
+try:
     from scipy import stats
 except ImportError:  # pragma: no cover - exercised by the numpy-free leg
     stats = None  # type: ignore[assignment]
